@@ -1,6 +1,5 @@
 """Metrics: TET/ART computation and report formatting."""
 
-from .export import dump_trace, load_trace, trace_summary
 from .jobstats import (
     JobPhaseStats,
     format_phase_table,
@@ -18,8 +17,7 @@ from .utilization import (
     task_intervals,
 )
 
-__all__ = ["dump_trace", "load_trace", "trace_summary",
-           "JobPhaseStats", "format_phase_table", "job_phase_stats",
+__all__ = ["JobPhaseStats", "format_phase_table", "job_phase_stats",
            "mean_sharing_fraction",
            "NormalizedMetrics", "ScheduleMetrics", "compute_metrics",
            "format_io_table", "format_series", "format_table", "normalize_all",

@@ -36,19 +36,17 @@ analyzer work unchanged on service traces.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..analysis.lockgraph import OrderedLock
 from ..analysis.racecheck import race_checked, register_instance
-from ..common import ids
 from ..common.clock import Clock, monotonic_clock
 from ..common.errors import AdmissionRejected, ServiceError
-from ..dfs.block import Block, DfsFile
 from ..localrt.api import BlockStoreProtocol, JobResult, LocalJob
 from ..localrt.engine import JobRunState
-from ..localrt.live import LiveScanExecutor
-from ..localrt.parallel import MapTaskSpec
+from ..localrt.live import LiveScanExecutor, StoreView, chunk_to_warm
+from ..localrt.runners import FifoLocalRunner
 from ..mapreduce.job import JobSpec
 from ..mapreduce.profile import JobProfile, normal_wordcount
 from ..obs.live.slo import SLOStatus
@@ -57,6 +55,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import resolve_tracer
 from ..obs.tracer import Tracer
 from ..schedulers.s3.jobqueue import JobQueueManager
+from ..schedulers.s3.scanloop import Iteration
 from ..schedulers.s3.state import S3JobState
 from .config import ServiceConfig
 from .records import (
@@ -77,29 +76,6 @@ SNAPSHOT_SCHEMA_VERSION = 2
 
 #: How long ``shutdown`` waits for the core thread.
 _JOIN_TIMEOUT_S = 30.0
-
-
-class _StoreView:
-    """A :class:`~repro.schedulers.s3.jobqueue.FileResolver` over a local
-    block store: sizes and replica locations taken from the real store,
-    so scan-loop state sees the same placement the reads will route by
-    (a single store reports one synthetic ``"local"`` node; a sharded
-    store reports its shard names, primary first)."""
-
-    def __init__(self, store: BlockStoreProtocol, name: str) -> None:
-        blocks = tuple(
-            Block(block_id=ids.block_id(name, index), file_name=name,
-                  index=index,
-                  size_mb=max(store.block_size_bytes(index), 1) / 2 ** 20,
-                  locations=store.block_locations(index))
-            for index in range(store.num_blocks))
-        self._file = DfsFile(name=name, blocks=blocks)
-
-    def get_file(self, name: str) -> DfsFile:
-        if name != self._file.name:
-            raise ServiceError(f"unknown file {name!r} "
-                               f"(service scans {self._file.name!r})")
-        return self._file
 
 
 @race_checked(fields=("status", "admitted_at", "finished_at", "result",
@@ -151,19 +127,15 @@ class _Scheduled:
     priority: int
 
 
-@race_checked(fields=("next_chunk", "admitted"),
-              guard="SchedulerService._cond")
+@race_checked(fields=("next_chunk",), guard="SchedulerService._cond")
 @dataclass
 class _Work:
     """One built iteration, snapshotted for execution outside the lock."""
 
     index: int
-    pointer: int
-    tasks: list[MapTaskSpec]
-    participants: tuple[str, ...]
-    finishing: tuple[str, ...]
+    iteration: Iteration
+    run_states: dict[str, JobRunState]
     next_chunk: "range | None" = None
-    admitted: tuple[str, ...] = field(default_factory=tuple)
 
 
 class SchedulerService:
@@ -202,7 +174,7 @@ class SchedulerService:
             clock=self._now,
             max_samples=self.config.window_max_samples)
         self._profile = profile if profile is not None else normal_wordcount()
-        self._resolver = _StoreView(store, STORE_FILE_NAME)
+        self._resolver = StoreView(store, STORE_FILE_NAME)
         self._jqm = JobQueueManager(
             self._resolver, self.config.execution.blocks_per_segment)
         self._executor = LiveScanExecutor(
@@ -215,6 +187,8 @@ class SchedulerService:
         self._iteration = 0  # guarded-by: _cond
         self._pending = 0  # guarded-by: _cond
         self._running = False  # guarded-by: _cond
+        # A built iteration whose wave or reduces have not finished yet.
+        self._in_flight = False  # guarded-by: _cond
         self._stopping = False  # guarded-by: _cond
         self._draining = False  # guarded-by: _cond
         self._core_error: BaseException | None = None  # guarded-by: _cond
@@ -225,7 +199,7 @@ class SchedulerService:
         register_instance(
             self,
             fields=("_scheduled", "_iteration", "_pending", "_running",
-                    "_stopping", "_draining", "_core_error"),
+                    "_in_flight", "_stopping", "_draining", "_core_error"),
             guard="SchedulerService._cond", label="SchedulerService")
 
     # ------------------------------------------------------------- lifecycle
@@ -396,7 +370,9 @@ class SchedulerService:
         While draining, new submissions are refused (``ServiceError``);
         jobs already accepted — including capped ones still waiting for
         admission — run to completion, so drain never strands a waiting
-        entry.  Raises on timeout.
+        entry.  An iteration already built also finishes first, even when
+        every job in it was cancelled, so no wave is still reading blocks
+        when drain returns.  Raises on timeout.
         """
         deadline = (None if timeout is None
                     else self._clock() + timeout)
@@ -404,7 +380,7 @@ class SchedulerService:
             self._draining = True
             self._cond.notify_all()
             try:
-                while (self._scheduled
+                while (self._scheduled or self._in_flight
                        or any(not e.status.terminal
                               for e in self._entries.values())):
                     self._raise_if_dead_locked()
@@ -738,55 +714,50 @@ class SchedulerService:
             self.tracer.event("s3.align", subject=job_id,
                               start_block=pointer_before,
                               iteration=f"iter_{self._iteration}")
-        tasks = [
-            MapTaskSpec(
-                block_index=block,
-                states=tuple(self._entries[job_id].run_state
-                             for job_id in iteration.block_jobs[block]))
-            for block in iteration.chunk
-        ]
-        next_chunk: range | None = None
-        if loop.has_work():
-            num_blocks = loop.num_blocks
-            next_len = min(self._jqm.blocks_per_segment,
-                           num_blocks - loop.pointer)
-            next_chunk = range(loop.pointer, loop.pointer + next_len)
+        self._in_flight = True
         return _Work(
             index=self._iteration,
-            pointer=pointer_before,
-            tasks=tasks,
-            participants=iteration.participants,
-            finishing=iteration.finishing_jobs,
-            next_chunk=next_chunk,
-            admitted=loop.last_admitted,
+            iteration=iteration,
+            run_states={job_id: self._entries[job_id].run_state
+                        for job_id in iteration.participants},
+            next_chunk=chunk_to_warm(loop, self._jqm.blocks_per_segment,
+                                     bool(self._scheduled)),
         )
 
     def _execute_work(self, work: _Work) -> None:
         """Run one iteration's map wave + finishing reduces (unlocked)."""
-        self._executor.run_iteration(
-            work.index, work.tasks, pointer=work.pointer,
-            job_ids=list(work.participants), next_chunk=work.next_chunk)
-        with self._cond:
-            finishing = [self._entries[job_id] for job_id in work.finishing
-                         if self._entries[job_id].status
-                         is JobStatus.SCANNING]
         results: list[tuple[_Entry, JobResult]] = []
-        for entry in finishing:
-            # Reduce outside the lock: shuffle/sort/reduce is CPU work.
-            results.append((entry, self._executor.finish_job(
-                entry.run_state, work.index)))
-        with self._cond:
-            now = self._now()
-            for entry, result in results:
-                self._finish_locked(entry, JobStatus.DONE, result=result)
-                self.metrics.counter("service.complete").inc()
-                self.tracer.event("service.complete",
-                                  subject=entry.job.job_id,
-                                  tenant=entry.tenant,
-                                  iteration=work.index,
-                                  response_s=now - entry.submitted_at)
-            self._iteration += 1
-            self._cond.notify_all()
+        completed = False
+        try:
+            self._executor.run_iteration(work.index, work.iteration,
+                                         work.run_states,
+                                         next_chunk=work.next_chunk)
+            with self._cond:
+                finishing = [self._entries[job_id] for job_id
+                             in work.iteration.finishing_jobs
+                             if self._entries[job_id].status
+                             is JobStatus.SCANNING]
+            for entry in finishing:
+                # Reduce outside the lock: shuffle/sort/reduce is CPU work.
+                results.append((entry, self._executor.finish_job(
+                    entry.run_state, work.index)))
+            completed = True
+        finally:
+            with self._cond:
+                self._in_flight = False
+                if completed:
+                    now = self._now()
+                    for entry, result in results:
+                        self._finish_locked(entry, JobStatus.DONE,
+                                            result=result)
+                        self.metrics.counter("service.complete").inc()
+                        self.tracer.event("service.complete",
+                                          subject=entry.job.job_id,
+                                          tenant=entry.tenant,
+                                          iteration=work.index,
+                                          response_s=now - entry.submitted_at)
+                    self._iteration += 1
+                self._cond.notify_all()
 
     def _abort_live_locked(self, reason: str) -> None:
         """Terminal-ise every live job at shutdown/failure.
@@ -851,15 +822,13 @@ class SchedulerService:
 
 def batch_equivalent(store: BlockStoreProtocol, jobs: Sequence[LocalJob],
                      config: ServiceConfig | None = None) -> dict[str, JobResult]:
-    """Run the same job set batch-style (fresh runner) for comparisons.
+    """Run the same job set through the FIFO runner for comparisons.
 
     Byte-identical outputs between this and a live service run are the
     service's correctness contract (scheduling must never change
-    results).
+    results).  The FIFO runner shares no scan code with the service —
+    each job scans the whole store on its own — so it is an independent
+    oracle.
     """
-    from ..localrt.runners import SharedScanRunner
-
     config = config or ServiceConfig()
-    runner = SharedScanRunner(store, config.execution)
-    report = runner.run(list(jobs))
-    return report.results
+    return FifoLocalRunner(store, config.execution).run(list(jobs)).results

@@ -88,3 +88,8 @@ def test_execution_config_validates_backend_name():
 def test_execution_config_validates_workers():
     with pytest.raises(ConfigError):
         ExecutionConfig(map_workers=0)
+
+
+def test_execution_config_validates_segment_size():
+    with pytest.raises(ConfigError, match="blocks_per_segment"):
+        ExecutionConfig(blocks_per_segment=0)

@@ -16,7 +16,6 @@ from repro.localrt.parallel import (
     backend_from_config,
     execute_map_wave,
     make_backend,
-    resolve_backend,
 )
 from repro.localrt.records import TextLineReader
 from repro.localrt.runners import FifoLocalRunner, SharedScanRunner
@@ -68,26 +67,17 @@ def test_read_counters_thread_safe(corpus_store):
 def test_execute_map_wave_validation(corpus_store):
     reader = TextLineReader()
     state = JobRunState(wordcount_job("a", ".*"))
-    with pytest.raises(ExecutionError, match="workers"):
-        execute_map_wave(corpus_store, reader,
-                         [MapTaskSpec(0, (state,))], workers=0)
     with pytest.raises(ExecutionError, match="duplicate"):
         execute_map_wave(corpus_store, reader,
-                         [MapTaskSpec(0, (state,)), MapTaskSpec(0, (state,))])
+                         [MapTaskSpec(0, (state,)), MapTaskSpec(0, (state,))],
+                         backend=SerialMapBackend())
     with pytest.raises(ExecutionError, match="no jobs"):
         MapTaskSpec(0, ())
 
 
 def test_empty_wave_is_noop(corpus_store):
-    execute_map_wave(corpus_store, TextLineReader(), [], workers=4)
-
-
-def test_invalid_workers_on_runners(corpus_store):
-    # The legacy kwarg still validates (until the shim is removed).
-    with pytest.warns(DeprecationWarning), pytest.raises(ExecutionError):
-        FifoLocalRunner(corpus_store, workers=0)
-    with pytest.warns(DeprecationWarning), pytest.raises(ExecutionError):
-        SharedScanRunner(corpus_store, workers=0)
+    with ThreadMapBackend(workers=4) as backend:
+        execute_map_wave(corpus_store, TextLineReader(), [], backend=backend)
 
 
 # ---------------------------------------------------------------- backends
@@ -137,19 +127,6 @@ def test_backend_from_config():
     backend.close()
 
 
-def test_resolve_backend_contract():
-    serial, owned = resolve_backend(None, 1)
-    assert isinstance(serial, SerialMapBackend) and owned
-    threads, owned = resolve_backend(None, 4)
-    assert isinstance(threads, ThreadMapBackend) and owned
-    threads.close()
-    mine = SerialMapBackend()
-    same, owned = resolve_backend(mine, 4)
-    assert same is mine and not owned
-    with pytest.raises(ExecutionError, match="backend"):
-        resolve_backend(42, 1)  # type: ignore[arg-type]
-
-
 def test_unpicklable_job_fails_by_name(corpus_store):
     job = wordcount_job("closure", ".*")
     # A lambda-held mapper attribute cannot cross the process boundary.
@@ -186,12 +163,11 @@ def test_backend_result_shape_is_validated(corpus_store):
 
 
 def test_backend_context_manager_reusable(corpus_store):
-    with ProcessMapBackend(workers=2) as backend:
-        # Injecting a caller-owned backend instance is only possible
-        # through the legacy kwarg; keep exercising it until removal.
-        with pytest.warns(DeprecationWarning):
-            runner = SharedScanRunner(corpus_store, backend=backend)
+    config = ExecutionConfig(map_backend="processes", map_workers=2)
+    with SharedScanRunner(corpus_store, config) as runner:
+        assert isinstance(runner.backend, ProcessMapBackend)
         first = runner.run(make_jobs())
-        second = runner.run(make_jobs())  # pool reused across runs
+        # run() closes the pool; the next run re-creates it lazily.
+        second = runner.run(make_jobs())
     for job_id in ("wc0", "wc1", "wc2"):
         assert first.results[job_id].output == second.results[job_id].output

@@ -5,10 +5,13 @@ threaded tests use the real core loop with generous timeouts and assert
 only order-independent facts.
 """
 
+import threading
+
 import pytest
 
 from repro.common.config import ExecutionConfig, TraceConfig
 from repro.common.errors import AdmissionRejected, ServiceError
+from repro.localrt.api import LocalJob, Mapper, SumReducer
 from repro.localrt.jobs import wordcount_job
 from repro.service.config import ServiceConfig
 from repro.service.core import SchedulerService, batch_equivalent
@@ -235,6 +238,39 @@ def test_threaded_wait_for_and_draining_refusal(store):
         assert ticket.status is JobStatus.DONE
         with pytest.raises(ServiceError, match="unknown"):
             service.wait_for("ghost", timeout=1.0)
+
+
+class HeldMapper(Mapper):
+    """Blocks the map wave on its first record until ``release`` is set."""
+
+    def __init__(self, entered, release):
+        self.entered = entered
+        self.release = release
+
+    def map(self, key, value):
+        self.entered.set()
+        self.release.wait(30.0)
+        yield ("n", 1)
+
+
+def test_drain_waits_for_a_running_wave_of_a_cancelled_job(store):
+    entered, release = threading.Event(), threading.Event()
+    job = LocalJob(job_id="held", mapper=HeldMapper(entered, release),
+                   reducer=SumReducer())
+    with make_service(store) as service:
+        try:
+            service.submit(job)
+            assert entered.wait(30.0)
+            # The job is cancelled while its first wave is still reading.
+            assert service.cancel("held") is True
+            with pytest.raises(ServiceError, match="drain timed out"):
+                service.drain(timeout=0.2)
+        finally:
+            release.set()
+        tickets = service.drain(timeout=60.0)
+        assert [t.status for t in tickets] == [JobStatus.CANCELLED]
+        # drain returned only after the wave finished.
+        assert service.iterations == 1
 
 
 def test_step_refused_while_threaded_core_runs(store):
