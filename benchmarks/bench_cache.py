@@ -11,7 +11,10 @@ perf trajectory of the shared-scan I/O path is tracked across PRs:
 * **shared_scan_prefetch** — one shared-scan batch under the serial map
   backend, prefetch off vs on.  With read-ahead the next segment's
   blocks load while the current segment's mappers run, so wall-clock
-  should not regress and usually improves.  Like
+  should not regress and usually improves.  A single run of each moved
+  more than the difference between them, so the two are measured in
+  alternating order over several rounds, each prefetch-on run with a
+  fresh (cold) cache, and their medians are compared.  Like
   ``bench_parallel.py``, the wall-clock assertion is skipped on
   single-core hosts (there is no second core to overlap with).
 
@@ -26,6 +29,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import sys
 import tempfile
 
@@ -42,6 +46,9 @@ from repro.workloads.text import TextCorpusGenerator            # noqa: E402
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_cache.json"
 
 PATTERNS = ["^th.*", ".*ing$", "^[aeiou].*", ".*tion$"]
+
+#: Rounds of the prefetch off/on comparison (one run of each per round).
+PREFETCH_ROUNDS = 15
 
 
 def make_jobs(n: int) -> list:
@@ -90,30 +97,50 @@ def bench_fifo_rescan(corpus_bytes: int, block_size: int,
 
 def bench_shared_prefetch(corpus_bytes: int, block_size: int,
                           segment: int) -> dict:
-    """One shared-scan batch: prefetch off vs on (serial map backend)."""
+    """One shared-scan batch: prefetch off vs on (serial map backend).
+
+    The runs alternate which goes first in each of
+    :data:`PREFETCH_ROUNDS` rounds; the reported seconds are medians and
+    the reported counters come from the first prefetch-on run.
+    """
     arrivals = {"wc0": 0, "wc1": 1, "wc2": 2, "wc3": 4}
+    cache_bytes = block_size * 4 * segment
+    off_config = ExecutionConfig(blocks_per_segment=segment)
+    on_config = ExecutionConfig(blocks_per_segment=segment,
+                                prefetch_depth=segment,
+                                cache_capacity_bytes=cache_bytes)
     with tempfile.TemporaryDirectory() as tmp:
         store = build_store(tmp, corpus_bytes, block_size)
-        watch = Stopwatch()
-        off = SharedScanRunner(store, ExecutionConfig(
-            blocks_per_segment=segment)).run(
-            make_jobs(4), arrival_iterations=arrivals)
-        off_s = watch.elapsed()
 
-        cache_bytes = block_size * 4 * segment
-        store.attach_cache(BlockCache(capacity_bytes=cache_bytes))
-        watch.restart()
-        on = SharedScanRunner(store, ExecutionConfig(
-            blocks_per_segment=segment, prefetch_depth=segment,
-            cache_capacity_bytes=cache_bytes)).run(
-            make_jobs(4), arrival_iterations=arrivals)
-        on_s = watch.elapsed()
+        def timed(prefetch: bool):
+            # Prefetch-off runs read without a cache; every prefetch-on
+            # run starts from an empty one.
+            store.attach_cache(BlockCache(capacity_bytes=cache_bytes)
+                               if prefetch else None)
+            watch = Stopwatch()
+            report = SharedScanRunner(
+                store, on_config if prefetch else off_config).run(
+                make_jobs(4), arrival_iterations=arrivals)
+            return watch.elapsed(), report
 
+        times: dict[bool, list[float]] = {False: [], True: []}
+        reports: dict[bool, list] = {False: [], True: []}
+        for round_index in range(PREFETCH_ROUNDS):
+            for prefetch in ((False, True) if round_index % 2 == 0
+                             else (True, False)):
+                seconds, report = timed(prefetch)
+                times[prefetch].append(seconds)
+                reports[prefetch].append(report)
+
+        off, on = reports[False][0], reports[True][0]
         outputs_off = {j: r.output for j, r in off.results.items()}
-        outputs_on = {j: r.output for j, r in on.results.items()}
-        assert outputs_on == outputs_off, "prefetch changed job outputs"
-        assert on.blocks_read == off.blocks_read, \
-            "prefetch changed the logical read counters"
+        for report in reports[True]:
+            assert {j: r.output for j, r in report.results.items()} \
+                == outputs_off, "prefetch changed job outputs"
+            assert report.blocks_read == off.blocks_read, \
+                "prefetch changed the logical read counters"
+        off_s = statistics.median(times[False])
+        on_s = statistics.median(times[True])
         return {
             "num_blocks": store.num_blocks,
             "iterations": on.iterations,
@@ -123,6 +150,7 @@ def bench_shared_prefetch(corpus_bytes: int, block_size: int,
             "hit_ratio": on.cache_hit_ratio,
             "prefetch_off_seconds": off_s,
             "prefetch_on_seconds": on_s,
+            "prefetch_rounds": PREFETCH_ROUNDS,
         }
 
 

@@ -44,10 +44,10 @@ def make_jobs():
 
 
 def run_backend(corpus, backend):
-    runner = SharedScanRunner(corpus, ExecutionConfig(
-        map_backend=backend, map_workers=os.cpu_count(),
-        blocks_per_segment=8))
-    return runner.run(make_jobs())
+    with SharedScanRunner(corpus, ExecutionConfig(
+            map_backend=backend, map_workers=os.cpu_count(),
+            blocks_per_segment=8)) as runner:
+        return runner.run(make_jobs())
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)

@@ -89,11 +89,12 @@ def main() -> None:
         print("\nmap backend comparison (same shared scan, same outputs):")
         reference = {j: shared.results[j].output for j in PATTERNS}
         for backend in BACKEND_NAMES:
-            runner = SharedScanRunner(store, ExecutionConfig(
-                map_backend=backend, map_workers=4, blocks_per_segment=3))
-            watch = Stopwatch()
-            report = runner.run(make_jobs(), arrival_iterations=ARRIVALS)
-            elapsed = watch.elapsed()
+            with SharedScanRunner(store, ExecutionConfig(
+                    map_backend=backend, map_workers=4,
+                    blocks_per_segment=3)) as runner:
+                watch = Stopwatch()
+                report = runner.run(make_jobs(), arrival_iterations=ARRIVALS)
+                elapsed = watch.elapsed()
             assert all(report.results[j].output == reference[j]
                        for j in PATTERNS), f"{backend} output mismatch"
             print(f"  {backend:<10} {elapsed:6.2f}s "

@@ -80,19 +80,19 @@ class TraceLog:
         """The underlying event sink (shared with span instrumentation)."""
         return self._tracer
 
-    def record(self, time: float, kind: str, subject: str, **detail: Any) -> TraceRecord:
-        """Append and return a new record."""
-        if (self._last_time is not None
-                and time < self._last_time - self.TIME_TOLERANCE):
+    def record(self, time: float, kind: str, subject: str, **detail: Any) -> None:
+        """Append one record; ``detail`` becomes its payload as is.
+
+        This is the simulator's hot path: one tracer event per call, and
+        the ``detail`` dict the call builds is the only copy made.
+        """
+        last = self._last_time
+        if last is not None and time < last - self.TIME_TOLERANCE:
             raise ValueError(
-                f"trace time went backwards: {time} < {self._last_time} "
+                f"trace time went backwards: {time} < {last} "
                 f"(more than the {self.TIME_TOLERANCE} tolerance)")
         self._last_time = time
-        payload = dict(detail)
-        self._tracer.event_at(time, kind, subject=subject, lane="events",
-                              args=payload)
-        return TraceRecord(time=time, kind=kind, subject=subject,
-                           detail=payload)
+        self._tracer.instant_owned(time, kind, subject, "events", detail)
 
     @staticmethod
     def _to_record(event: TraceEvent) -> TraceRecord:

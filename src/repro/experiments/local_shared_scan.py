@@ -64,10 +64,10 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
                                   block_size_bytes=block_size_bytes)
         config = dataclasses.replace(execution or ExecutionConfig(),
                                      blocks_per_segment=blocks_per_segment)
-        fifo_runner = FifoLocalRunner(store, config)
-        shared_runner = SharedScanRunner(store, config)
-        fifo = fifo_runner.run(_make_jobs(num_jobs))
-        shared = shared_runner.run(_make_jobs(num_jobs), arrivals)
+        with FifoLocalRunner(store, config) as fifo_runner:
+            fifo = fifo_runner.run(_make_jobs(num_jobs))
+        with SharedScanRunner(store, config) as shared_runner:
+            shared = shared_runner.run(_make_jobs(num_jobs), arrivals)
 
         for job_id in arrivals:
             if (sorted(fifo.results[job_id].output)

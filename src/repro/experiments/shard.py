@@ -89,17 +89,18 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
         config = dataclasses.replace(execution or ExecutionConfig(),
                                      blocks_per_segment=blocks_per_segment)
 
-        fifo = FifoLocalRunner(sharded, config).run(_make_jobs(num_jobs))
+        with FifoLocalRunner(sharded, config) as runner:
+            fifo = runner.run(_make_jobs(num_jobs))
         balance_before = sharded.shard_blocks_read()
-        shared = SharedScanRunner(sharded, config).run(
-            _make_jobs(num_jobs), arrivals)
+        with SharedScanRunner(sharded, config) as runner:
+            shared = runner.run(_make_jobs(num_jobs), arrivals)
         balance = tuple(after - before for after, before in
                         zip(sharded.shard_blocks_read(), balance_before))
 
-        fifo_single = FifoLocalRunner(single, config).run(
-            _make_jobs(num_jobs))
-        shared_single = SharedScanRunner(single, config).run(
-            _make_jobs(num_jobs), arrivals)
+        with FifoLocalRunner(single, config) as runner:
+            fifo_single = runner.run(_make_jobs(num_jobs))
+        with SharedScanRunner(single, config) as runner:
+            shared_single = runner.run(_make_jobs(num_jobs), arrivals)
 
         for job_id in arrivals:
             if (sorted(fifo.results[job_id].output)
@@ -129,8 +130,9 @@ def run(num_jobs: int = 4, *, corpus_bytes: int = 400_000,
                     and failed_shard not in drill.down_shards()):
                 drill.fail_shard(failed_shard)
 
-        drilled = SharedScanRunner(drill, config).run(
-            _make_jobs(num_jobs), arrivals, on_iteration_end=lose_shard)
+        with SharedScanRunner(drill, config) as runner:
+            drilled = runner.run(_make_jobs(num_jobs), arrivals,
+                                 on_iteration_end=lose_shard)
         fallback_reads = drill.stats_snapshot().replica_fallback_reads
         for job_id in arrivals:
             if (sorted(drilled.results[job_id].output)

@@ -84,8 +84,8 @@ def run(jobs_per_tenant: int = 4, *, corpus_bytes: int = 400_000,
         # Closed-loop FIFO baseline: same jobs, no sharing possible.
         fifo_store = BlockStore.create(tmp / "fifo", corpus,
                                        block_size_bytes=block_size_bytes)
-        fifo_runner = FifoLocalRunner(fifo_store, execution)
-        fifo = fifo_runner.run([_job_for(e) for e in events])
+        with FifoLocalRunner(fifo_store, execution) as fifo_runner:
+            fifo = fifo_runner.run([_job_for(e) for e in events])
         fifo_sharing = _sharing_for(tmp, "fifo", fifo_runner.tracer)
 
         # Open-loop S3 service: the same schedule replayed in iteration

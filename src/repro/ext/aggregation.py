@@ -98,11 +98,11 @@ def compare_collection_schemes(
     ``jobs_factory`` is a zero-argument callable returning fresh
     :class:`LocalJob` objects (each run needs clean mapper/reducer state).
     """
-    runner = SharedScanRunner(
-        store, ExecutionConfig(blocks_per_segment=blocks_per_segment),
-        reader=reader)
-    at_end = runner.run(jobs_factory(), arrival_iterations)
-    progressive = runner.run(
-        jobs_factory(), arrival_iterations,
-        on_iteration_end=lambda _i, states: fold_partial_aggregates(states))
+    with SharedScanRunner(
+            store, ExecutionConfig(blocks_per_segment=blocks_per_segment),
+            reader=reader) as runner:
+        at_end = runner.run(jobs_factory(), arrival_iterations)
+        progressive = runner.run(
+            jobs_factory(), arrival_iterations,
+            on_iteration_end=lambda _i, states: fold_partial_aggregates(states))
     return CollectionComparison(at_end=at_end, progressive=progressive)

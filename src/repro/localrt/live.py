@@ -29,7 +29,7 @@ through a :class:`LiveScanExecutor`:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from ..common import ids
 from ..common.config import ExecutionConfig
@@ -90,6 +90,9 @@ def chunk_to_warm(loop: ScanLoop, chunk_size: int,
     return range(loop.pointer, loop.pointer + length)
 
 
+_RunnerT = TypeVar("_RunnerT", bound="_LocalRunnerBase")
+
+
 class _LocalRunnerBase:
     """Construction shared by every runner: store, reader, map backend,
     prefetch depth and tracer, all from one :class:`~repro.common.config.
@@ -130,10 +133,15 @@ class _LocalRunnerBase:
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Release the map backend's pool (idempotent; pools re-create
-        lazily, so a closed runner stays usable)."""
+        lazily, so a closed runner stays usable).
+
+        A runner keeps its pool across ``run()`` calls, so repeated runs
+        reuse the same workers; use the runner as a context manager, or
+        call this, to shut the pool down.
+        """
         self.backend.close()
 
-    def __enter__(self) -> "_LocalRunnerBase":
+    def __enter__(self: _RunnerT) -> _RunnerT:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -250,10 +258,15 @@ class LiveScanExecutor(_LocalRunnerBase):
             counters=run_state.counters,
         )
 
-    def close(self) -> None:
-        """Stop the prefetcher and release the backend (idempotent)."""
+    def stop_prefetcher(self) -> None:
+        """Stop the prefetcher, if one runs; the next warm request starts
+        a fresh one, paced from that point (idempotent)."""
         if self._prefetcher is not None:
             self._prefetcher.close()
             self._prefetcher = None
+
+    def close(self) -> None:
+        """Stop the prefetcher and release the backend (idempotent)."""
+        self.stop_prefetcher()
         super().close()
 

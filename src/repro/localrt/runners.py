@@ -26,6 +26,14 @@ tracing — lives on one :class:`~repro.common.config.ExecutionConfig`::
 
 ``SharedScanRunner(store)`` uses the defaults.
 
+A runner's map backend keeps its worker pool from the first wave until
+:meth:`close` (or the end of a ``with`` block), so repeated ``run()``
+calls reuse the same workers::
+
+    with SharedScanRunner(store, ExecutionConfig(map_backend="processes")) as runner:
+        first = runner.run(jobs)
+        second = runner.run(more_jobs)
+
 Observability
 -------------
 With ``config.trace.enabled`` (or inside an active
@@ -157,8 +165,6 @@ class FifoLocalRunner(_LocalRunnerBase):
         finally:
             if prefetcher is not None:
                 prefetcher.close()
-            # Pools re-create lazily, so closing keeps the runner reusable.
-            self.close()
         io = self.store.stats_snapshot().delta(before)
         return _finish_trace(self, RunReport(
             results=results,
@@ -259,9 +265,9 @@ class SharedScanRunner(LiveScanExecutor):
                                   segment=self.blocks_per_segment):
                 iterations = self._drive(pending, results, on_iteration_end)
         finally:
-            # The pool and the prefetcher re-create lazily, so closing
-            # keeps the runner reusable.
-            self.close()
+            # One prefetcher per run; the backend's pool stays up for the
+            # next run until close().
+            self.stop_prefetcher()
         io = self.store.stats_snapshot().delta(before)
         return _finish_trace(self, RunReport(
             results=results,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import abc
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -187,6 +188,27 @@ class SimulationResult:
         return all(t.is_complete for t in self.timelines.values())
 
 
+@dataclass(frozen=True)
+class _KindNames:
+    """The trace names of one :class:`TaskKind`, built once."""
+
+    start: str
+    finish: str
+    killed: str
+    fail: str
+    span: str
+
+
+_KIND_NAMES: dict[TaskKind, _KindNames] = {
+    kind: _KindNames(start=f"task.start.{kind.value}",
+                     finish=f"task.finish.{kind.value}",
+                     killed=f"task.killed.{kind.value}",
+                     fail=f"task.fail.{kind.value}",
+                     span=f"task.{kind.value}")
+    for kind in TaskKind
+}
+
+
 def _task_key(attempt_id: str) -> str:
     """The task identity of an attempt id (strips the attempt suffix)."""
     return attempt_id.rsplit(".attempt_", 1)[0]
@@ -255,8 +277,10 @@ class SimulationDriver:
         self._retries: dict[str, int] = {}
         self._completed_map_durations: list[float] = []
         self._spec_ticker_running = False
-        self._job_map_tasks: dict[str, int] = {}
-        self._job_shared_map_tasks: dict[str, int] = {}
+        self._job_map_tasks: Counter[str] = Counter()
+        self._job_shared_map_tasks: Counter[str] = Counter()
+        #: Submitted jobs none of whose tasks has launched yet.
+        self._awaiting_first_launch: set[str] = set()
         self.task_failures = 0
         self.speculative_launched = 0
         self.speculative_won = 0
@@ -288,6 +312,7 @@ class SimulationDriver:
             raise SimulationError(
                 f"{job.job_id}: input file {job.file_name!r} not registered")
         self._timelines[job.job_id] = JobTimeline(job_id=job.job_id, submitted=at)
+        self._awaiting_first_launch.add(job.job_id)
         self._submissions.append((at, job))
 
     def submit_all(self, jobs: Sequence[JobSpec], arrivals: Sequence[float]) -> None:
@@ -342,11 +367,12 @@ class SimulationDriver:
                                        self.cost.duration_jitter)
         launch.started_at = now
         self.locality.observe(launch)
-        for job_id in launch.job_ids:
-            timeline = self._timelines.get(job_id)
-            if timeline is not None and timeline.first_launch is None:
-                timeline.first_launch = now
-        self.trace.record(now, f"task.start.{launch.kind.value}",
+        awaiting = self._awaiting_first_launch
+        if awaiting and not awaiting.isdisjoint(launch.job_ids):
+            for job_id in awaiting.intersection(launch.job_ids):
+                self._timelines[job_id].first_launch = now
+            awaiting.difference_update(launch.job_ids)
+        self.trace.record(now, _KIND_NAMES[launch.kind].start,
                           launch.attempt_id, node=launch.node_id,
                           duration=round(launch.duration, 3),
                           jobs=len(launch.job_ids), block=launch.block_index,
@@ -393,7 +419,7 @@ class SimulationDriver:
                 # Kill the losing sibling (Hadoop kills the slower attempt).
                 attempt.event.cancel()
                 self._release_slot(attempt)
-                self.trace.record(now, f"task.killed.{group.kind.value}",
+                self.trace.record(now, _KIND_NAMES[group.kind].killed,
                                   attempt.launch.attempt_id,
                                   node=attempt.node.node_id)
         if winner is None:
@@ -406,18 +432,15 @@ class SimulationDriver:
         launch.finished_at = now
         if launch.kind is TaskKind.MAP:
             self._completed_map_durations.append(launch.duration)
-            shared = launch.batch_size >= 2
-            for job_id in launch.job_ids:
-                self._job_map_tasks[job_id] = \
-                    self._job_map_tasks.get(job_id, 0) + 1
-                if shared:
-                    self._job_shared_map_tasks[job_id] = \
-                        self._job_shared_map_tasks.get(job_id, 0) + 1
-        self.trace.record(now, f"task.finish.{launch.kind.value}",
-                          launch.attempt_id, node=launch.node_id)
+            self._job_map_tasks.update(launch.job_ids)
+            if launch.batch_size >= 2:
+                self._job_shared_map_tasks.update(launch.job_ids)
+        names = _KIND_NAMES[launch.kind]
+        self.trace.record(now, names.finish, launch.attempt_id,
+                          node=launch.node_id)
         if launch.started_at is not None:
             self.sim.tracer.span_at(
-                f"task.{launch.kind.value}", launch.started_at, now,
+                names.span, launch.started_at, now,
                 lane=launch.node_id, subject=launch.attempt_id,
                 jobs=len(launch.job_ids), block=launch.block_index)
         self.scheduler.on_task_complete(launch, now)
@@ -429,7 +452,7 @@ class SimulationDriver:
         attempt = next(a for a in group.attempts if a.launch is launch)
         group.attempts.remove(attempt)
         self._release_slot(attempt)
-        self.trace.record(now, f"task.fail.{group.kind.value}",
+        self.trace.record(now, _KIND_NAMES[group.kind].fail,
                           launch.attempt_id, node=launch.node_id)
         if group.attempts:
             return  # a sibling is still running; the work is not lost

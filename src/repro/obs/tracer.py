@@ -208,9 +208,9 @@ class Tracer:
         """Record a span with explicit endpoints (sim-time reconstruction)."""
         if not self.enabled:
             return None
-        payload = dict(args) if args else {}
-        if extra:
-            payload.update(extra)
+        # ``extra`` is this call's own kwargs dict: it becomes the payload
+        # as is, so the common keywords-only call copies nothing.
+        payload = {**args, **extra} if args else extra
         event = TraceEvent(
             phase=PHASE_SPAN, name=name, ts=start,
             dur=max(0.0, end - start),
@@ -236,15 +236,24 @@ class Tracer:
         """Record an instantaneous event at an explicit timestamp."""
         if not self.enabled:
             return None
-        payload = dict(args) if args else {}
-        if extra:
-            payload.update(extra)
-        event = TraceEvent(
-            phase=PHASE_INSTANT, name=name, ts=ts, dur=0.0,
-            lane=lane if lane is not None else threading.current_thread().name,
-            subject=subject,
-            depth=getattr(self._local, "depth", 0), args=payload)
-        self._append(event)
+        return self.instant_owned(
+            ts, name, subject,
+            lane if lane is not None else threading.current_thread().name,
+            {**args, **extra} if args else extra)
+
+    def instant_owned(self, ts: float, name: str, subject: str, lane: str,
+                      args: dict[str, Any]) -> TraceEvent | None:
+        """Record an instant whose payload is ``args`` itself, not a copy.
+
+        The caller hands ``args`` over and must not mutate it afterwards;
+        :class:`~repro.common.tracelog.TraceLog` passes its own
+        ``**detail`` dict here, so a record costs one dict.
+        """
+        if not self.enabled:
+            return None
+        event = TraceEvent(PHASE_INSTANT, name, ts, 0.0, lane, subject,
+                           getattr(self._local, "depth", 0), args)
+        self._events.append(event)
         return event
 
     # -- reading --------------------------------------------------------

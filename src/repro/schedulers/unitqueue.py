@@ -44,8 +44,11 @@ class ExecUnit:
     reduces_outstanding: int = field(init=False)
     reduces_started: bool = False
     done: bool = False
+    #: Ids of ``jobs``, in order; every task of the unit carries them.
+    job_ids: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.job_ids = tuple(j.job_id for j in self.jobs)
         self.assigner = BlockAssigner(self.dfs_file,
                                       range(self.dfs_file.num_blocks))
         self.maps_outstanding = self.dfs_file.num_blocks
@@ -55,10 +58,6 @@ class ExecUnit:
     @property
     def batch_size(self) -> int:
         return len(self.jobs)
-
-    @property
-    def job_ids(self) -> tuple[str, ...]:
-        return tuple(j.job_id for j in self.jobs)
 
     @property
     def maps_all_assigned(self) -> bool:

@@ -831,4 +831,5 @@ def batch_equivalent(store: BlockStoreProtocol, jobs: Sequence[LocalJob],
     oracle.
     """
     config = config or ServiceConfig()
-    return FifoLocalRunner(store, config.execution).run(list(jobs)).results
+    with FifoLocalRunner(store, config.execution) as runner:
+        return runner.run(list(jobs)).results

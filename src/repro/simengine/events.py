@@ -1,28 +1,35 @@
 """Event primitives for the discrete-event engine.
 
 The engine is a classic calendar queue: a binary heap of
-:class:`ScheduledEvent` ordered by ``(time, priority, seq)``.  The ``seq``
-tiebreaker makes execution order deterministic for events scheduled at the
-same instant (FIFO in scheduling order), which the test suite relies on.
+``(time, priority, seq, event)`` tuples.  The ``seq`` tiebreaker makes
+execution order deterministic for events scheduled at the same instant
+(FIFO in scheduling order), which the test suite relies on.  Because
+``seq`` is unique, no two keys tie and the heap never compares the
+:class:`ScheduledEvent` itself: every comparison is a tuple comparison of
+floats and ints, done in C.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 #: Signature of an event callback: receives the firing time.
 EventCallback = Callable[[float], None]
 
 
-@dataclass(order=True)
+#: A heap entry: ``(time, priority, seq, event)``.
+_Entry = tuple[float, int, int, "ScheduledEvent"]
+
+
+@dataclass(slots=True)
 class ScheduledEvent:
     """A callback scheduled to run at a simulation time.
 
-    Only the ordering key participates in comparisons; the callback itself is
-    excluded via ``compare=False``.
+    The cancellable handle :meth:`EventQueue.push` returns; the queue
+    orders it by ``(time, priority, seq)``.
     """
 
     time: float
@@ -49,15 +56,15 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[_Entry] = []
         self._seq = itertools.count()
 
     def push(self, time: float, callback: EventCallback, *,
              priority: int = 0, label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` at absolute ``time``; returns a cancellable handle."""
-        ev = ScheduledEvent(time=time, priority=priority, seq=next(self._seq),
-                            callback=callback, label=label)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._seq)
+        ev = ScheduledEvent(time, priority, seq, callback, label)
+        heappush(self._heap, (time, priority, seq, ev))
         return ev
 
     def pop(self) -> ScheduledEvent:
@@ -65,19 +72,39 @@ class EventQueue:
 
         Raises ``IndexError`` when the queue is empty.
         """
-        while True:
-            ev = heapq.heappop(self._heap)
-            if not ev.cancelled:
-                return ev
+        ev = self.pop_due()
+        if ev is None:
+            raise IndexError("pop from an empty event queue")
+        return ev
+
+    def pop_due(self, until: float | None = None) -> ScheduledEvent | None:
+        """Pop the earliest non-cancelled event due at or before ``until``.
+
+        Returns ``None`` when the queue is empty or its earliest event
+        lies after ``until`` (which stays queued); ``until=None`` means
+        no horizon.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3].cancelled:
+                heappop(heap)
+            elif until is not None and entry[0] > until:
+                return None
+            else:
+                heappop(heap)
+                return entry[3]
+        return None
 
     def peek_time(self) -> float | None:
         """Time of the earliest pending event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

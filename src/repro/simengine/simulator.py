@@ -68,7 +68,7 @@ class Simulator:
     def at(self, time: float, callback: EventCallback, *,
            priority: int = 0, label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if math.isnan(time) or math.isinf(time):
+        if not math.isfinite(time):
             raise SimulationError(f"cannot schedule event at time {time!r}")
         if time < self._now - 1e-9:
             raise SimulationError(
@@ -113,15 +113,9 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
+        queue = self._queue
         try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                ev = self._queue.pop()
+            while (ev := queue.pop_due(until)) is not None:
                 self._now = max(self._now, ev.time)
                 self._events_processed += 1
                 if self._events_processed > self._max_events:
@@ -129,16 +123,17 @@ class Simulator:
                         f"exceeded max_events={self._max_events}; "
                         "likely an event loop that never terminates")
                 ev.callback(self._now)
+            if until is not None and queue.peek_time() is not None:
+                self._now = until
         finally:
             self._running = False
         return self._now
 
     def step(self) -> bool:
         """Execute exactly one event.  Returns False when the queue is empty."""
-        next_time = self._queue.peek_time()
-        if next_time is None:
+        ev = self._queue.pop_due()
+        if ev is None:
             return False
-        ev = self._queue.pop()
         self._now = max(self._now, ev.time)
         self._events_processed += 1
         ev.callback(self._now)

@@ -90,10 +90,10 @@ def test_user_counters_aggregate_across_blocks(corpus_store):
 def test_counters_identical_serial_vs_parallel(corpus_store):
     serial = FifoLocalRunner(corpus_store, ExecutionConfig()).run(
         [wordcount_job("wc", "^b.*")])
-    parallel = FifoLocalRunner(
-        corpus_store,
-        ExecutionConfig(map_backend="threads", map_workers=4)).run(
-        [wordcount_job("wc", "^b.*")])
+    with FifoLocalRunner(
+            corpus_store,
+            ExecutionConfig(map_backend="threads", map_workers=4)) as runner:
+        parallel = runner.run([wordcount_job("wc", "^b.*")])
     assert (list(serial.results["wc"].counters)
             == list(parallel.results["wc"].counters))
 

@@ -1,9 +1,12 @@
 """Parallel map execution: every backend must equal the serial run."""
 
+import os
+
 import pytest
 
 from repro.common.config import ExecutionConfig
 from repro.common.errors import ExecutionError
+from repro.localrt.api import LocalJob, Mapper, SumReducer
 from repro.localrt.engine import JobRunState
 from repro.localrt.jobs import wordcount_job
 from repro.localrt.parallel import (
@@ -29,9 +32,10 @@ def make_jobs():
 
 def test_parallel_fifo_equals_serial(corpus_store):
     serial = FifoLocalRunner(corpus_store, ExecutionConfig()).run(make_jobs())
-    parallel = FifoLocalRunner(
-        corpus_store,
-        ExecutionConfig(map_backend="threads", map_workers=4)).run(make_jobs())
+    with FifoLocalRunner(
+            corpus_store,
+            ExecutionConfig(map_backend="threads", map_workers=4)) as runner:
+        parallel = runner.run(make_jobs())
     for job_id in ("wc0", "wc1", "wc2"):
         assert (serial.results[job_id].output
                 == parallel.results[job_id].output)
@@ -43,10 +47,11 @@ def test_parallel_shared_scan_equals_serial(corpus_store):
     serial = SharedScanRunner(
         corpus_store,
         ExecutionConfig(blocks_per_segment=3)).run(make_jobs(), arrivals)
-    parallel = SharedScanRunner(
-        corpus_store,
-        ExecutionConfig(blocks_per_segment=3, map_backend="threads",
-                        map_workers=4)).run(make_jobs(), arrivals)
+    with SharedScanRunner(
+            corpus_store,
+            ExecutionConfig(blocks_per_segment=3, map_backend="threads",
+                            map_workers=4)) as runner:
+        parallel = runner.run(make_jobs(), arrivals)
     for job_id in ("wc0", "wc1", "wc2"):
         assert (serial.results[job_id].output
                 == parallel.results[job_id].output)
@@ -57,9 +62,10 @@ def test_parallel_shared_scan_equals_serial(corpus_store):
 def test_read_counters_thread_safe(corpus_store):
     """Concurrent read_block calls must not lose counter increments."""
     before = corpus_store.stats.blocks_read
-    FifoLocalRunner(
-        corpus_store,
-        ExecutionConfig(map_backend="threads", map_workers=8)).run(make_jobs())
+    with FifoLocalRunner(
+            corpus_store,
+            ExecutionConfig(map_backend="threads", map_workers=8)) as runner:
+        runner.run(make_jobs())
     delta = corpus_store.stats.blocks_read - before
     assert delta == 3 * corpus_store.num_blocks
 
@@ -83,10 +89,11 @@ def test_empty_wave_is_noop(corpus_store):
 # ---------------------------------------------------------------- backends
 def test_process_backend_fifo_equals_serial(corpus_store):
     serial = FifoLocalRunner(corpus_store, ExecutionConfig()).run(make_jobs())
-    procs = FifoLocalRunner(
-        corpus_store,
-        ExecutionConfig(map_backend="processes",
-                        map_workers=2)).run(make_jobs())
+    with FifoLocalRunner(
+            corpus_store,
+            ExecutionConfig(map_backend="processes",
+                            map_workers=2)) as runner:
+        procs = runner.run(make_jobs())
     for job_id in ("wc0", "wc1", "wc2"):
         assert serial.results[job_id].output == procs.results[job_id].output
         assert (list(serial.results[job_id].counters)
@@ -100,10 +107,11 @@ def test_process_backend_shared_scan_equals_serial(corpus_store):
     serial = SharedScanRunner(
         corpus_store,
         ExecutionConfig(blocks_per_segment=3)).run(make_jobs(), arrivals)
-    procs = SharedScanRunner(
-        corpus_store,
-        ExecutionConfig(blocks_per_segment=3, map_backend="processes",
-                        map_workers=2)).run(make_jobs(), arrivals)
+    with SharedScanRunner(
+            corpus_store,
+            ExecutionConfig(blocks_per_segment=3, map_backend="processes",
+                            map_workers=2)) as runner:
+        procs = runner.run(make_jobs(), arrivals)
     for job_id in ("wc0", "wc1", "wc2"):
         assert serial.results[job_id].output == procs.results[job_id].output
     assert procs.bytes_read == serial.bytes_read
@@ -131,11 +139,11 @@ def test_unpicklable_job_fails_by_name(corpus_store):
     job = wordcount_job("closure", ".*")
     # A lambda-held mapper attribute cannot cross the process boundary.
     job.mapper.poison = lambda: None
-    runner = FifoLocalRunner(
-        corpus_store,
-        ExecutionConfig(map_backend="processes", map_workers=2))
-    with pytest.raises(ExecutionError, match="'closure'.*processes"):
-        runner.run([job])
+    with FifoLocalRunner(
+            corpus_store,
+            ExecutionConfig(map_backend="processes", map_workers=2)) as runner:
+        with pytest.raises(ExecutionError, match="'closure'.*processes"):
+            runner.run([job])
 
 
 def test_backend_result_shape_is_validated(corpus_store):
@@ -167,7 +175,48 @@ def test_backend_context_manager_reusable(corpus_store):
     with SharedScanRunner(corpus_store, config) as runner:
         assert isinstance(runner.backend, ProcessMapBackend)
         first = runner.run(make_jobs())
-        # run() closes the pool; the next run re-creates it lazily.
         second = runner.run(make_jobs())
     for job_id in ("wc0", "wc1", "wc2"):
         assert first.results[job_id].output == second.results[job_id].output
+    # Leaving the block shut the pool down; a closed runner re-creates
+    # its pool lazily on the next run.
+    assert runner.backend._pool is None
+    third = runner.run(make_jobs())
+    runner.close()
+    assert third.results["wc0"].output == first.results["wc0"].output
+
+
+class WorkerPidMapper(Mapper):
+    """Maps every record to the pid of the process that mapped it."""
+
+    def map(self, key, value):
+        yield os.getpid(), 1
+
+
+def pid_job() -> LocalJob:
+    return LocalJob(job_id="pids", mapper=WorkerPidMapper(),
+                    reducer=SumReducer())
+
+
+@pytest.mark.parametrize("runner_cls", [FifoLocalRunner, SharedScanRunner])
+def test_runner_keeps_its_process_pool_across_runs(corpus_store, runner_cls):
+    config = ExecutionConfig(map_backend="processes", map_workers=2)
+    runner = runner_cls(corpus_store, config)
+    try:
+        first = runner.run([pid_job()])
+        pool = runner.backend._pool
+        workers = dict(pool._processes)
+        second = runner.run([pid_job()])
+        # The second run reused the first run's pool and worker processes.
+        assert runner.backend._pool is pool
+        assert dict(pool._processes) == workers
+        mapped_in = {pid for report in (first, second)
+                     for pid, _ in report.results["pids"].output}
+        assert mapped_in and mapped_in <= set(workers)
+        assert os.getpid() not in mapped_in
+    finally:
+        runner.close()
+    assert runner.backend._pool is None
+    for process in workers.values():
+        process.join(timeout=10)
+        assert not process.is_alive()

@@ -262,8 +262,8 @@ def test_mid_scan_shard_loss_is_invisible(tmp_path, lines, backend):
     baseline_store = ShardedBlockStore.create(
         tmp_path / "base", lines, 4_000,
         num_shards=NUM_SHARDS, replication=REPLICATION)
-    baseline = SharedScanRunner(baseline_store, config).run(
-        make_jobs(), arrivals)
+    with SharedScanRunner(baseline_store, config) as runner:
+        baseline = runner.run(make_jobs(), arrivals)
 
     drill_store = ShardedBlockStore.create(
         tmp_path / "drill", lines, 4_000,
@@ -273,8 +273,9 @@ def test_mid_scan_shard_loss_is_invisible(tmp_path, lines, backend):
         if iteration == 1 and 0 not in drill_store.down_shards():
             drill_store.fail_shard(0)
 
-    drilled = SharedScanRunner(drill_store, config).run(
-        make_jobs(), arrivals, on_iteration_end=lose_shard)
+    with SharedScanRunner(drill_store, config) as runner:
+        drilled = runner.run(make_jobs(), arrivals,
+                             on_iteration_end=lose_shard)
 
     for job_id in ("wc0", "wc1", "wc2"):
         assert (drilled.results[job_id].output

@@ -56,11 +56,12 @@ def _assert_well_nested_per_lane(spans):
 
 def test_threads_backend_produces_well_nested_span_tree(corpus):
     tracer = Tracer(name="test")
-    runner = SharedScanRunner(
-        corpus, ExecutionConfig(map_backend="threads", map_workers=4,
-                                blocks_per_segment=4), tracer=tracer)
-    report = runner.run([wordcount_job("wc0", "^th.*"),
-                         wordcount_job("wc1", ".*ing$")])
+    with SharedScanRunner(
+            corpus, ExecutionConfig(map_backend="threads", map_workers=4,
+                                    blocks_per_segment=4),
+            tracer=tracer) as runner:
+        report = runner.run([wordcount_job("wc0", "^th.*"),
+                             wordcount_job("wc1", ".*ing$")])
     assert report.results  # the run actually did work
 
     spans = list(tracer.spans())

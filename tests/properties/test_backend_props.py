@@ -55,10 +55,11 @@ def test_all_backends_byte_identical(tmp_path_factory, corpus, seg, arrivals,
     counters: dict[str, list] = {}
     io: dict[str, tuple] = {}
     for backend in BACKEND_NAMES:
-        runner = SharedScanRunner(
-            store, ExecutionConfig(blocks_per_segment=seg,
-                                   map_backend=backend, map_workers=2))
-        report = runner.run(jobs(), arrival_iterations=arrival_map)
+        with SharedScanRunner(
+                store, ExecutionConfig(blocks_per_segment=seg,
+                                       map_backend=backend,
+                                       map_workers=2)) as runner:
+            report = runner.run(jobs(), arrival_iterations=arrival_map)
         per_job: dict[str, dict[str, str]] = {}
         for job_id, result in report.results.items():
             out_dir = tmp_path_factory.mktemp(f"out-{backend}-{job_id}")

@@ -62,11 +62,11 @@ def test_batched_matrix_byte_identical(tmp_path_factory, corpus, seg,
                 store.attach_cache(
                     BlockCache(10_000_000) if with_cache else None)
                 store.reset_stats()
-                runner = SharedScanRunner(
-                    store, ExecutionConfig(blocks_per_segment=seg,
-                                           map_backend=backend,
-                                           map_workers=2))
-                report = runner.run(_jobs(batched))
+                with SharedScanRunner(
+                        store, ExecutionConfig(blocks_per_segment=seg,
+                                               map_backend=backend,
+                                               map_workers=2)) as runner:
+                    report = runner.run(_jobs(batched))
                 per_job = {}
                 for job_id, result in report.results.items():
                     out_dir = tmp_path_factory.mktemp(

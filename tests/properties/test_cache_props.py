@@ -56,10 +56,11 @@ def _run_variant(tmp_path_factory, directory, backend, runner_kind, seg,
         prefetch_depth=prefetch_depth if cache_bytes else 0,
         blocks_per_segment=seg)
     if runner_kind == "fifo":
-        report = FifoLocalRunner(store, config).run(_jobs(n_jobs))
+        with FifoLocalRunner(store, config) as fifo:
+            report = fifo.run(_jobs(n_jobs))
     else:
-        report = SharedScanRunner(store, config).run(
-            _jobs(n_jobs), arrival_iterations=arrival_map)
+        with SharedScanRunner(store, config) as shared:
+            report = shared.run(_jobs(n_jobs), arrival_iterations=arrival_map)
     per_job: dict[str, dict[str, str]] = {}
     outputs: dict[str, list] = {}
     for job_id, result in report.results.items():
